@@ -161,12 +161,32 @@ func benchCatalog() *sqlengine.Catalog {
 	return cat
 }
 
+// queryTable executes sql through QueryCtx and materializes the result, so
+// the vectorized benchmarks build the same output table the scalar
+// reference does.
+func queryTable(cat *sqlengine.Catalog, sql string) (*table.Table, error) {
+	res, err := cat.QueryCtx(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table("result"), nil
+}
+
+// queryRunner returns the executor a benchmark times: the vectorized
+// engine (queryTable) or the row-at-a-time scalar reference.
+func queryRunner(cat *sqlengine.Catalog, scalar bool) func(string) (*table.Table, error) {
+	if scalar {
+		return cat.QueryScalar
+	}
+	return func(sql string) (*table.Table, error) { return queryTable(cat, sql) }
+}
+
 func BenchmarkSQLAggregationQuery(b *testing.B) {
 	cat := benchCatalog()
 	const q = "SELECT region, SUM(amount) AS total FROM sales WHERE product <> 'sprocket' GROUP BY region ORDER BY total DESC"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(q); err != nil {
+		if _, err := queryTable(cat, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,9 +232,10 @@ func BenchmarkNotebookDAGConstruction(b *testing.B) {
 
 // --- vectorized vs scalar execution benchmarks ---
 //
-// These pit the columnar vectorized engine (Catalog.Query) against the
-// row-at-a-time scalar reference path (Catalog.QueryScalar) on a 100k-row
-// table; the vectorized path is the one the platform uses. Run with:
+// These pit the columnar vectorized engine (Catalog.QueryCtx, materialized
+// by Result.Table) against the row-at-a-time scalar reference path
+// (Catalog.QueryScalar) on a 100k-row table; the vectorized path is the
+// one the platform uses. Run with:
 //
 //	go test -bench='Vectorized|Scalar' -benchmem
 
@@ -287,10 +308,7 @@ const (
 func benchQuery(b *testing.B, q string, scalar bool) {
 	b.Helper()
 	cat := benchBigCatalog(benchRows)
-	run := cat.Query
-	if scalar {
-		run = cat.QueryScalar
-	}
+	run := queryRunner(cat, scalar)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := run(q); err != nil {
@@ -323,7 +341,7 @@ func BenchmarkJoin10kVectorized(b *testing.B) {
 	cat := benchBigCatalog(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(benchJoinQuery); err != nil {
+		if _, err := queryTable(cat, benchJoinQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,7 +377,7 @@ func benchJoin(b *testing.B, q string, serial bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(q); err != nil {
+		if _, err := queryTable(cat, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,7 +411,7 @@ func benchSelectivity(b *testing.B, where string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(q); err != nil {
+		if _, err := queryTable(cat, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,10 +441,7 @@ func BenchmarkSelectivity50Scattered(b *testing.B) { benchSelectivity(b, "id % 2
 func benchOrderBy(b *testing.B, q string, scalar bool) {
 	b.Helper()
 	cat := benchBigCatalog(benchRows)
-	run := cat.Query
-	if scalar {
-		run = cat.QueryScalar
-	}
+	run := queryRunner(cat, scalar)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -458,9 +473,9 @@ func BenchmarkOrderByFiltered(b *testing.B) {
 // The headline pair for the typed Result API on the same 100k-row filtered
 // scan: BenchmarkResultBatches100k consumes the result through zero-copy
 // batch views and typed slab accessors (what QueryCtx callers do), while
-// BenchmarkResultStrings100k reproduces the legacy [][]string pipeline
-// (what the deprecated Platform.Query / Answer.Rows shims do: materialize
-// the output table, then box and stringify every cell). bytes/op and
+// BenchmarkResultStrings100k reproduces the pre-redesign [][]string
+// pipeline: materialize the output table, then box and stringify every
+// cell. bytes/op and
 // allocs/op are the signal: the batch path must not allocate per row or
 // per cell. The Scattered pair repeats the comparison with a dense-form
 // selection, where batches gather instead of viewing. Run:
@@ -492,12 +507,12 @@ func benchConsumeBatches(b *testing.B, res *Result) {
 	}
 }
 
-// benchLegacyStrings reproduces the pre-redesign tableToStrings path bit
-// for bit: a materialized result table, then one []string per row and one
-// boxed stringification per cell.
+// benchLegacyStrings reproduces the pre-redesign tableToStrings path: a
+// materialized result table, then one []string per row and one boxed
+// stringification per cell.
 func benchLegacyStrings(b *testing.B, cat *sqlengine.Catalog, q string) {
 	b.Helper()
-	tbl, err := cat.Query(q)
+	tbl, err := queryTable(cat, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -681,7 +696,7 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := cat.Query(benchGroupQuery); err != nil {
+			if _, err := queryTable(cat, benchGroupQuery); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -766,7 +781,7 @@ func BenchmarkQueryDuringIngest(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Query(benchGroupQuery); err != nil {
+		if _, err := queryTable(cat, benchGroupQuery); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,10 +27,7 @@ const (
 func benchQuerySized(b *testing.B, q string, rows int, scalar bool) {
 	b.Helper()
 	cat := benchBigCatalog(rows)
-	run := cat.Query
-	if scalar {
-		run = cat.QueryScalar
-	}
+	run := queryRunner(cat, scalar)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := run(q); err != nil {

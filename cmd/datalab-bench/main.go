@@ -199,21 +199,14 @@ func engineDemo(rows int) error {
 	fmt.Printf("typed batches:   %d rows in %d zero-copy batches, sum(value)=%.2f  (%v)\n",
 		res.NumRows(), nbatches, sum, typed)
 
-	// The legacy pipeline, end to end: execute into a materialized table,
-	// then box and stringify every cell (what Platform.Query used to do).
+	// The legacy pipeline, end to end: execute, then box and stringify
+	// every cell with Result.Strings.
 	start = time.Now()
-	tbl, err := cat.Query(q)
+	res, err = cat.QueryCtx(ctx, q)
 	if err != nil {
 		return err
 	}
-	strRows := make([][]string, tbl.NumRows())
-	for i := range strRows {
-		row := make([]string, tbl.NumCols())
-		for j, v := range tbl.Row(i) {
-			row[j] = v.AsString()
-		}
-		strRows[i] = row
-	}
+	strRows := res.Strings()
 	stringly := time.Since(start)
 	fmt.Printf("legacy strings:  %d [][]string rows materialized            (%v, %.1fx slower)\n",
 		len(strRows), stringly, float64(stringly)/float64(typed))

@@ -52,7 +52,7 @@ func TestConcurrentAskAndQuery(t *testing.T) {
 						return
 					}
 				} else {
-					if _, _, err := p.Query(sqls[(g+i)%len(sqls)]); err != nil {
+					if _, err := p.QueryCtx(context.Background(), sqls[(g+i)%len(sqls)]); err != nil {
 						t.Errorf("Query: %v", err)
 						return
 					}

@@ -37,7 +37,7 @@ func WithSeed(seed string) Option {
 
 // Platform is one DataLab deployment: catalog + knowledge + agents.
 //
-// A Platform is safe for concurrent use: Ask and Query may be called from
+// A Platform is safe for concurrent use: Ask and QueryCtx may be called from
 // many goroutines at once (the catalog serializes registrations against
 // readers, and the SQL engine runs scan/aggregate partitions on a bounded
 // worker pool shared across queries). LearnKnowledge and AddGlossary are
@@ -397,19 +397,6 @@ func (p *Platform) Prepare(sql string) (*Stmt, error) {
 // workload's templates fit the cache and parsing has been amortized away.
 func (p *Platform) PlanCacheStats() PlanCacheStats {
 	return p.catalog.PlanCacheStats()
-}
-
-// Query executes raw SQL and materializes the full result as strings.
-//
-// Deprecated: Query stringifies every cell of every row. Use
-// Platform.QueryCtx and iterate the Result's batches with the typed
-// accessors; this shim remains for callers that want the old shape.
-func (p *Platform) Query(sql string) (columns []string, rows [][]string, err error) {
-	res, err := p.catalog.QueryCtx(context.Background(), sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Columns(), res.Strings(), nil
 }
 
 // fillRows executes the answer's SQL and attaches the typed Result plus

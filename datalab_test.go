@@ -39,11 +39,11 @@ func TestLoadCSVAndQuery(t *testing.T) {
 	if err := p.LoadCSV("t", strings.NewReader(csv)); err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, err := p.Query("SELECT a FROM t WHERE b = 'y'")
+	res, err := p.QueryCtx(context.Background(), "SELECT a FROM t WHERE b = 'y'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 1 || len(rows) != 1 || rows[0][0] != "2" {
+	if cols, rows := res.Columns(), res.Strings(); len(cols) != 1 || len(rows) != 1 || rows[0][0] != "2" {
 		t.Errorf("result = %v %v", cols, rows)
 	}
 	if len(p.Tables()) != 1 {
@@ -77,13 +77,9 @@ func TestQueryCtxTypedResult(t *testing.T) {
 	if total != 100.5+250.0+300.0+120.0+900.0 {
 		t.Fatalf("total = %v", total)
 	}
-	// The deprecated shim returns the same rows as strings.
-	cols, rows, err := p.Query("SELECT revenue, region FROM sales WHERE revenue > 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || len(rows) != 5 {
-		t.Fatalf("shim = %v, %d rows", cols, len(rows))
+	// Strings renders the same rows without moving the cursor.
+	if rows := res.Strings(); len(rows) != 5 || len(rows[0]) != 2 {
+		t.Fatalf("Strings = %v", rows)
 	}
 }
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -179,15 +180,15 @@ func (rt *Runtime) TranslateDSL(query, tableName, key string, skill float64, ite
 }
 
 // ExecuteSQL compiles and runs a DSL spec, returning the SQL text and the
-// result table.
+// result materialized as a table named after the spec's source table.
 func (rt *Runtime) ExecuteSQL(spec *dsl.Spec) (string, *table.Table, error) {
 	sql, err := spec.ToSQL()
 	if err != nil {
 		return "", nil, err
 	}
-	res, err := rt.Catalog.Query(sql)
+	res, err := rt.Catalog.QueryCtx(context.Background(), sql)
 	if err != nil {
 		return sql, nil, err
 	}
-	return sql, res, nil
+	return sql, res.Table(spec.Table), nil
 }

@@ -9,6 +9,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
 	"datalab/internal/benchgen"
@@ -196,19 +197,21 @@ func execSpec(cat *sqlengine.Catalog, spec *dsl.Spec) *table.Table {
 	if err != nil {
 		return nil
 	}
-	res, err := cat.Query(sql)
-	if err != nil {
-		return nil
-	}
-	return res
+	return queryTable(cat, sql, spec.Table)
 }
 
 func execGold(cat *sqlengine.Catalog, task benchgen.Task) *table.Table {
-	res, err := cat.Query(task.GoldSQL)
+	return queryTable(cat, task.GoldSQL, task.Table.Name)
+}
+
+// queryTable executes sql and materializes the result under name; nil on
+// any error.
+func queryTable(cat *sqlengine.Catalog, sql, name string) *table.Table {
+	res, err := cat.QueryCtx(context.Background(), sql)
 	if err != nil {
 		return nil
 	}
-	return res
+	return res.Table(name)
 }
 
 func renderSpec(cat *sqlengine.Catalog, spec *dsl.Spec) (*viz.Spec, *viz.Rendered) {
@@ -226,8 +229,8 @@ func renderSpec(cat *sqlengine.Catalog, spec *dsl.Spec) (*viz.Spec, *viz.Rendere
 	if err != nil {
 		return nil, nil
 	}
-	data, err := cat.Query(sql)
-	if err != nil {
+	data := queryTable(cat, sql, spec.Table)
+	if data == nil {
 		return nil, nil
 	}
 	rendered, err := viz.Render(chart, data)

@@ -1,6 +1,7 @@
 package benchgen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestGeneratedGoldSQLExecutes(t *testing.T) {
 			}
 			cat := sqlengine.NewCatalog()
 			cat.Register(task.Table)
-			res, err := cat.Query(task.GoldSQL)
+			res, err := cat.QueryCtx(context.Background(), task.GoldSQL)
 			if err != nil {
 				t.Fatalf("%s: gold SQL fails: %v\n%s", task.ID, err, task.GoldSQL)
 			}

@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,6 +85,15 @@ func TestToSQLShape(t *testing.T) {
 	}
 }
 
+// queryTable executes sql and materializes the result.
+func queryTable(cat *sqlengine.Catalog, sql string) (*table.Table, error) {
+	res, err := cat.QueryCtx(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table("result"), nil
+}
+
 func TestToSQLExecutes(t *testing.T) {
 	tbl := table.MustNew("sales",
 		[]string{"region", "amount", "year"},
@@ -99,7 +109,7 @@ func TestToSQLExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cat.Query(sql)
+	res, err := queryTable(cat, sql)
 	if err != nil {
 		t.Fatalf("compiled SQL does not execute: %v\nsql: %s", err, sql)
 	}
@@ -254,7 +264,7 @@ func TestEndToEndDSLToRenderedChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cat.Query(sql)
+	res, err := queryTable(cat, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestPropertyEverySpecCompilesAndExecutes(t *testing.T) {
 		}
 		cat := sqlengine.NewCatalog()
 		cat.Register(tbl)
-		res, err := cat.Query(sql)
+		res, err := queryTable(cat, sql)
 		if err != nil {
 			t.Fatalf("case %d: compiled SQL does not execute: %v\n%s", i, err, sql)
 		}
@@ -127,7 +127,7 @@ func TestPropertyChartsRenderWhenRequested(t *testing.T) {
 		}
 		cat := sqlengine.NewCatalog()
 		cat.Register(tbl)
-		data, err := cat.Query(sql)
+		data, err := queryTable(cat, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

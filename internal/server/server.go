@@ -285,6 +285,27 @@ type queryRequest struct {
 	SessionID string `json:"session_id"`
 }
 
+// maxQueryBodyBytes caps a query request body: SQL text plus bound
+// arguments never legitimately approach it. Ingest streams are not capped.
+const maxQueryBodyBytes = 1 << 20
+
+// decodeQueryRequest reads a query request body of at most
+// maxQueryBodyBytes. On an oversized, malformed, or SQL-less body it writes
+// the 400 bad_request line and returns ok=false.
+func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (req queryRequest, ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+	case err != nil || req.SQL == "":
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	default:
+		return req, true
+	}
+	return req, false
+}
+
 // requestCtx derives the execution context: the HTTP request context
 // (cancelled when the client disconnects), additionally cancelled when the
 // named session closes. The returned stop func releases the linkage.
@@ -334,9 +355,8 @@ func (s *Server) execute(ctx context.Context, req queryRequest) (*sqlengine.Resu
 // event, not an error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	req, ok := decodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, stop, _, err := s.requestCtx(r, req.SessionID)
@@ -587,9 +607,8 @@ func cellString(c any) string {
 // cursors die with their session.
 func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	req, ok := decodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, stop, sess, err := s.requestCtx(r, req.SessionID)

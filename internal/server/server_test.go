@@ -211,6 +211,34 @@ func TestQueryErrorLine(t *testing.T) {
 	}
 }
 
+// TestQueryBodyLimit pins the request-body cap: a query or cursor body
+// over maxQueryBodyBytes gets the 400 bad_request line without being read
+// to the end, and the server keeps serving.
+func TestQueryBodyLimit(t *testing.T) {
+	_, ts, _ := newTestServer(t, 10, Config{})
+	pad := strings.Repeat(" ", maxQueryBodyBytes)
+	for _, path := range []string{"/v1/query", "/v1/cursors"} {
+		resp := postJSON(t, ts.URL+path, map[string]any{"sql": "SELECT COUNT(*) FROM events" + pad})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", path, resp.StatusCode)
+		}
+		lines := decodeLines(t, resp.Body)
+		resp.Body.Close()
+		if msg, _ := lines[0]["error"].(string); lines[0]["code"] != CodeError ||
+			lines[0]["error_code"] != ErrCodeBadRequest || !strings.Contains(msg, "exceeds") {
+			t.Fatalf("%s: error line = %v", path, lines[0])
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT COUNT(*) FROM events"})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up query status = %d, want 200", resp.StatusCode)
+	}
+	if lines := decodeLines(t, resp.Body); lines[len(lines)-1]["code"] != CodeOK {
+		t.Fatalf("follow-up query did not end ok: %v", lines[len(lines)-1])
+	}
+}
+
 // TestIngestThenQuery streams JSONL rows in and verifies they are visible
 // (and only publish-batch granular) to queries.
 func TestIngestThenQuery(t *testing.T) {

@@ -13,9 +13,10 @@
 // through the plan cache, executes with the vectorized engine honoring
 // context cancellation, and returns a typed batch-iterable [Result].
 // [Catalog.Prepare] returns a reusable [Prepared] statement whose Exec
-// never re-enters the parser. [Catalog.Query] materializes a full
-// table.Table; [Catalog.QueryScalar] runs the row-at-a-time reference
-// executor the vectorized paths are differentially tested against.
+// never re-enters the parser. [Result.Table] materializes a result as a
+// table.Table that owns its storage. [Catalog.QueryScalar] runs the
+// row-at-a-time reference executor the vectorized paths are
+// differentially tested against.
 //
 // # Execution model
 //

@@ -200,23 +200,12 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
-// Query parses and executes a SELECT against the catalog using the
-// vectorized executor, returning a fully materialized table. The text is
-// fingerprinted to a parameter template first (see Fingerprint), so
-// literal-varying traffic shares one plan-cache entry and repeated
-// templates parse once.
-func (c *Catalog) Query(sql string) (*table.Table, error) {
-	stmt, binds, err := c.planQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.executeCtxBound(context.Background(), stmt, binds)
-}
-
-// QueryCtx parses (through fingerprinting and the plan cache, like Query)
-// and executes a SELECT, honoring ctx cancellation, and returns a typed
-// batch-iterable Result instead of a materialized table — the primary
-// query entry point.
+// QueryCtx parses and executes a SELECT, honoring ctx cancellation, and
+// returns a typed batch-iterable Result — the engine's query entry point.
+// The text is fingerprinted to a parameter template first (see
+// Fingerprint), so literal-varying traffic shares one plan-cache entry and
+// repeated templates parse once. Result.Table materializes the rows when a
+// caller needs a table that owns its storage.
 func (c *Catalog) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	stmt, binds, err := c.planQuery(sql)
 	if err != nil {
@@ -310,41 +299,6 @@ func vrelFromSnapshot(s *table.Snapshot, qual string) *vrel {
 	return vrelFrom(s.Table(), qual)
 }
 
-// Execute runs a parsed statement against the catalog with the vectorized
-// engine: columnar scans, selection-vector filtering, hash joins for
-// equi-join conditions and hash aggregation, parallelized over row and
-// group partitions through the bounded worker pool.
-func (c *Catalog) Execute(stmt *SelectStmt) (*table.Table, error) {
-	return c.ExecuteCtx(context.Background(), stmt)
-}
-
-// ExecuteCtx is Execute with cancellation: ctx is observed between pipeline
-// stages and between worker-pool chunks, so a cancelled context stops a
-// large scan, sort, or aggregation within one chunk's worth of work and
-// returns ctx.Err(). Statements with placeholders must execute through
-// Prepared.Exec/Bind (or Query, which binds its own extracted literals);
-// here they fail with an unbound-parameter error.
-func (c *Catalog) ExecuteCtx(ctx context.Context, stmt *SelectStmt) (*table.Table, error) {
-	return c.executeCtxBound(ctx, stmt, nil)
-}
-
-// executeCtxBound is ExecuteCtx with the execution's parameter bindings.
-func (c *Catalog) executeCtxBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	stmt, err := resolveBinds(stmt, binds)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err = c.inlineSubqueries(ctx, stmt, binds, false)
-	if err != nil {
-		return nil, err
-	}
-	rel, sel, grouped, err := c.scanFilter(ctx, stmt, binds)
-	if err != nil {
-		return nil, err
-	}
-	return executeMaterialized(ctx, stmt, rel, sel, grouped)
-}
-
 // executeMaterialized is the shared execution tail after scanFilter: the
 // grouped or plain projection, then DISTINCT/OFFSET/LIMIT.
 func executeMaterialized(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection, grouped bool) (*table.Table, error) {
@@ -367,6 +321,13 @@ func executeMaterialized(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *
 // columns plus the WHERE selection, with OFFSET/LIMIT applied as selection
 // arithmetic — no output is materialized at all. Every other shape runs
 // the materializing executor and wraps its output table.
+//
+// ctx is observed between pipeline stages and between worker-pool chunks,
+// so a cancelled context stops a large scan, sort, or aggregation within
+// one chunk's worth of work and returns ctx.Err(). Statements with
+// placeholders must execute through Prepared.Exec/Bind (or QueryCtx, which
+// binds its own extracted literals); here they fail with an
+// unbound-parameter error.
 func (c *Catalog) ExecuteResult(ctx context.Context, stmt *SelectStmt) (*Result, error) {
 	return c.executeResultBound(ctx, stmt, nil)
 }

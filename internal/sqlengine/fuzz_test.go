@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datalab/internal/table"
@@ -13,13 +14,14 @@ import (
 // each query must produce identical results — row for row, cell for cell —
 // across three executors:
 //
-//  1. the vectorized executor with range/dense selections chosen
-//     adaptively (the production path),
+//  1. the vectorized executor through QueryCtx, with range/dense
+//     selections chosen adaptively and the Result materialized by
+//     Result.Table (the production path),
 //  2. the vectorized executor with forceDenseSelection set, so every
 //     filter runs through classic dense index vectors,
 //  3. the scalar row-at-a-time reference (Catalog.QueryScalar),
-//  4. the typed Result API (Catalog.QueryCtx), consumed batch by batch —
-//     covering the lazy zero-copy projection path and the batch cursor,
+//  4. the same Result consumed batch by batch instead — covering the
+//     batch cursor over lazy zero-copy projections,
 //  5. the bind-vs-inline check: the query's literals are extracted by
 //     Fingerprint, the template is prepared once, and the extracted
 //     values are re-supplied through Prepared.Exec as bound parameters —
@@ -33,10 +35,10 @@ import (
 //
 // (1) vs (2) isolates the Selection representation: any divergence is a
 // bug in span construction, merging, or span-aware gathering. (1) vs (3)
-// is the end-to-end engine check; (1) vs (4) pins the Result redesign to
-// the materialized reference; (1) vs (5) proves fingerprint extraction
-// and parameter binding are jointly semantics-preserving — the invariant
-// the Query plan cache relies on; (6) proves published snapshots are
+// is the end-to-end engine check; (1) vs (4) pins the batch cursor to
+// Result.Table; (1) vs (5) proves fingerprint extraction and parameter
+// binding are jointly semantics-preserving — the invariant the plan cache
+// relies on; (6) proves published snapshots are
 // immutable under ingest — and because the appends accumulate, every
 // later query in the batch runs the whole differential battery over
 // multi-chunk, appended-to storage. The seed corpus below runs as
@@ -55,10 +57,10 @@ func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 
 		frozen := c.Freeze()
 
-		vec, vecErr := c.Query(q)
+		vec, vecErr := queryTable(c, q)
 
 		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
+		dense, denseErr := queryTable(c, q)
 		forceDenseSelection.Store(false)
 
 		// Scalar reference, twice: through QueryScalar (plan-cached
@@ -108,7 +110,7 @@ func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 // differentially test multi-chunk appended-to storage end to end.
 func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv string) {
 	t.Helper()
-	before, err := frozen.Query(q)
+	before, err := queryTable(frozen, q)
 	if err != nil {
 		t.Fatalf("query %q: frozen catalog errored where live succeeded: %v", q, err)
 	}
@@ -131,7 +133,7 @@ func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv 
 	dataApp.Publish()
 	multiApp.Publish()
 
-	after, err := frozen.Query(q)
+	after, err := queryTable(frozen, q)
 	if err != nil {
 		t.Fatalf("query %q: frozen catalog errored after ingest: %v", q, err)
 	}
@@ -291,7 +293,7 @@ func TestBindVsInlineCorpus(t *testing.T) {
 		"SELECT c, SUM(a) AS total FROM data WHERE e <> 7 GROUP BY c HAVING total > 25 ORDER BY 1",
 	}
 	for _, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -336,9 +338,9 @@ func TestRangeSelectionLargeParallelScan(t *testing.T) {
 		"SELECT b FROM data WHERE e <> 2 ORDER BY b DESC LIMIT 11",      // top-K over filtered selection
 	}
 	for _, q := range queries {
-		vec, vecErr := c.Query(q)
+		vec, vecErr := queryTable(c, q)
 		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
+		dense, denseErr := queryTable(c, q)
 		forceDenseSelection.Store(false)
 		sca, scaErr := c.QueryScalar(q)
 		if (vecErr == nil) != (denseErr == nil) || (vecErr == nil) != (scaErr == nil) {
@@ -355,4 +357,65 @@ func TestRangeSelectionLargeParallelScan(t *testing.T) {
 			t.Errorf("query %q: vectorized vs scalar mismatch", q)
 		}
 	}
+}
+
+// lexCrashers are inputs that once sent the lexer into an endless loop of
+// zero-width tokens: single bytes that unicode.IsLetter accepts as runes
+// (0xAA, 0xB5, 0xBA, 0xC0–0xFF) outside quotes, in both the
+// letter-leading and the digit-leading identifier branches.
+var lexCrashers = []string{
+	"SELECT año FROM t",
+	"SELECT a\xaa FROM t",
+	"SELECT id FROM t WHERE \xb5 = 1",
+	"SELECT 1\xba FROM t",
+	"SELECT 23_x\xc0 FROM t",
+	"\xff",
+}
+
+// TestNonASCIIOutsideQuotesErrors pins the lexer's identifier rule:
+// unquoted identifiers are ASCII, so a non-ASCII byte outside quotes is an
+// "unexpected character" error on every entry point, while quoted
+// non-ASCII names and strings work.
+func TestNonASCIIOutsideQuotesErrors(t *testing.T) {
+	c := NewCatalog()
+	c.Register(table.MustNew("t", []string{"id", "año"}, []table.Kind{table.KindInt, table.KindString}))
+	for _, q := range lexCrashers {
+		if _, _, ok := Fingerprint(q); ok {
+			t.Errorf("Fingerprint(%q): ok, want a lex failure", q)
+		}
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Errorf("Parse(%q) = %v, want an unexpected-character error", q, err)
+		}
+		if _, err := c.QueryCtx(context.Background(), q); err == nil {
+			t.Errorf("QueryCtx(%q) succeeded, want an error", q)
+		}
+	}
+	for _, q := range []string{
+		"SELECT `año` FROM t",
+		`SELECT "año" FROM t`,
+		"SELECT id FROM t WHERE `año` = 'mañana'",
+	} {
+		if _, _, ok := Fingerprint(q); !ok {
+			t.Errorf("Fingerprint(%q) failed", q)
+		}
+		if _, err := Parse(q); err != nil {
+			t.Errorf("Parse(%q): %v", q, err)
+		}
+		if _, err := c.QueryCtx(context.Background(), q); err != nil {
+			t.Errorf("QueryCtx(%q): %v", q, err)
+		}
+	}
+}
+
+// FuzzLexRaw feeds arbitrary strings to Fingerprint and Parse: each must
+// return a result or an error — never panic, hang, or exhaust memory.
+func FuzzLexRaw(f *testing.F) {
+	for _, q := range lexCrashers {
+		f.Add(q)
+	}
+	f.Add("SELECT region, SUM(amount) FROM sales WHERE qty > 3 GROUP BY region ORDER BY 2 DESC LIMIT 5")
+	f.Fuzz(func(t *testing.T, sql string) {
+		Fingerprint(sql)
+		Parse(sql) //nolint:errcheck // only termination is under test
+	})
 }

@@ -522,7 +522,7 @@ func TestCatalogAppend(t *testing.T) {
 	if err := c.Append("stream", []table.Value{table.Int(0), table.Int(0)}, []table.Value{table.Int(1), table.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Query("SELECT COUNT(*), SUM(v) FROM stream")
+	out, err := queryTable(c, "SELECT COUNT(*), SUM(v) FROM stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestSchemaChangeInvalidatesPlanCache(t *testing.T) {
 		c.Register(tb)
 	}
 	reg(table.KindInt)
-	if _, err := c.Query("SELECT a FROM t WHERE a > 0"); err != nil {
+	if _, err := queryTable(c, "SELECT a FROM t WHERE a > 0"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.PlanCacheStats(); st.Size == 0 || st.Invalidations != 0 {
@@ -563,7 +563,7 @@ func TestSchemaChangeInvalidatesPlanCache(t *testing.T) {
 	if st := c.PlanCacheStats(); st.Size != 0 || st.Invalidations != 1 {
 		t.Fatalf("schema change stats: %+v", st)
 	}
-	if _, err := c.Query("SELECT a FROM t WHERE a > 0"); err != nil {
+	if _, err := queryTable(c, "SELECT a FROM t WHERE a > 0"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.PlanCacheStats(); st.Size == 0 {

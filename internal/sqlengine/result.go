@@ -49,7 +49,7 @@ const defaultBatchRows = BatchRows
 // server's cursor registry depend on every state being pinned:
 //
 //   - exhausted: Next returns nil and keeps returning nil; iterating a
-//     second time requires an explicit Rewind (or the legacy Reset).
+//     second time requires an explicit Rewind.
 //   - Rewind: rewinds to the first batch. A Result is always rewindable —
 //     lazy results view an immutable pinned snapshot and materialized
 //     results own their storage — so no spill is ever needed.
@@ -145,11 +145,6 @@ func (r *Result) Rewind() error {
 	r.emitted, r.spanIdx, r.spanOff = 0, 0, 0
 	return nil
 }
-
-// Reset rewinds the cursor so the result can be iterated again. It is a
-// no-op on a closed Result; callers that need to observe that condition
-// should use Rewind.
-func (r *Result) Reset() { _ = r.Rewind() }
 
 // Close releases the cursor's references to its column storage and
 // selection — for lazy results, the pin on the catalog snapshot they were

@@ -63,6 +63,27 @@ func dumpResult(r *Result) string {
 	return sb.String()
 }
 
+// materialize runs q through the materializing executor only, bypassing
+// the lazy fast path, so lazy Results can be compared against it.
+func materialize(c *Catalog, q string) (*table.Table, error) {
+	ctx := context.Background()
+	stmt, binds, err := c.planQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	if stmt, err = resolveBinds(stmt, binds); err != nil {
+		return nil, err
+	}
+	if stmt, err = c.inlineSubqueries(ctx, stmt, binds, false); err != nil {
+		return nil, err
+	}
+	rel, sel, grouped, err := c.scanFilter(ctx, stmt, binds)
+	if err != nil {
+		return nil, err
+	}
+	return executeMaterialized(ctx, stmt, rel, sel, grouped)
+}
+
 // TestResultMatchesTableExecutor runs a corpus of query shapes — lazy-
 // eligible plain scans, scattered and clustered WHERE, OFFSET/LIMIT
 // windows, grouping, ordering, DISTINCT, joins, computed projections —
@@ -90,7 +111,7 @@ func TestResultMatchesTableExecutor(t *testing.T) {
 			"SELECT f.id, d.label FROM facts f JOIN dim d ON f.qty = d.k WHERE f.id < 40",     // join (lazy-shaped tail)
 		}
 		for _, q := range queries {
-			tbl, terr := c.Query(q)
+			tbl, terr := materialize(c, q)
 			res, rerr := c.QueryCtx(context.Background(), q)
 			if (terr == nil) != (rerr == nil) {
 				t.Fatalf("rows=%d query %q: error mismatch: table=%v result=%v", rows, q, terr, rerr)
@@ -102,9 +123,11 @@ func TestResultMatchesTableExecutor(t *testing.T) {
 			if got := dumpResult(res); got != want {
 				t.Errorf("rows=%d query %q: batch iteration mismatch\n-- result --\n%s\n-- table --\n%s", rows, q, got, want)
 			}
-			res.Reset()
+			if err := res.Rewind(); err != nil {
+				t.Fatal(err)
+			}
 			if got := dumpResult(res); got != want {
-				t.Errorf("rows=%d query %q: mismatch after Reset", rows, q)
+				t.Errorf("rows=%d query %q: mismatch after Rewind", rows, q)
 			}
 			strs := res.Strings()
 			if len(strs) != tbl.NumRows() {
@@ -129,7 +152,7 @@ func TestResultRandomizedAgainstTable(t *testing.T) {
 		c := randCatalog(rng, rng.Intn(500)+1)
 		for i := 0; i < 20; i++ {
 			q := randQuery(rng)
-			tbl, terr := c.Query(q)
+			tbl, terr := materialize(c, q)
 			res, rerr := c.QueryCtx(context.Background(), q)
 			if (terr == nil) != (rerr == nil) {
 				t.Fatalf("query %q: error mismatch: table=%v result=%v", q, terr, rerr)
@@ -233,7 +256,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	c := resultCatalog(10)
 	q := "SELECT id FROM facts"
 	for i := 0; i < 5; i++ {
-		if _, err := c.Query(q); err != nil {
+		if _, err := queryTable(c, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +267,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	// Literal-varying texts fingerprint to one template: a single new
 	// entry no matter how many distinct texts arrive.
 	for i := 0; i < 50; i++ {
-		if _, err := c.Query(fmt.Sprintf("SELECT id FROM facts WHERE id = %d", i)); err != nil {
+		if _, err := queryTable(c, fmt.Sprintf("SELECT id FROM facts WHERE id = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +285,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	// Distinct column aliases defeat fingerprint collapsing (the select
 	// list is never rewritten), so each text is its own template.
 	for i := 0; i < DefaultPlanCacheSize+10; i++ {
-		if _, err := c.Query(fmt.Sprintf("SELECT id AS c%d FROM facts", i)); err != nil {
+		if _, err := queryTable(c, fmt.Sprintf("SELECT id AS c%d FROM facts", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +300,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatalf("evictions = %d, want >= 10", st.Evictions)
 	}
 	// Parse errors are not cached.
-	if _, err := c.Query("SELECT FROM"); err == nil {
+	if _, err := queryTable(c, "SELECT FROM"); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 	if st := c.PlanCacheStats(); st.Size != DefaultPlanCacheSize {
@@ -293,7 +316,7 @@ func TestPreparedAmortizesParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Query(stmt.SQL())
+	want, err := queryTable(c, stmt.SQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +390,7 @@ func TestCancellationMidScan(t *testing.T) {
 	}
 	wantRows := make([]int, len(queries))
 	for i, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}

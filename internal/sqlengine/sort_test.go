@@ -158,7 +158,7 @@ func TestOrderByNaNKeysMatchScalar(t *testing.T) {
 		"SELECT tag, v FROM t ORDER BY v DESC LIMIT 2",
 		"SELECT tag, v FROM t ORDER BY v LIMIT 2 OFFSET 1",
 	} {
-		vec, err := c.Query(q)
+		vec, err := queryTable(c, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -197,11 +197,11 @@ func TestOrderByNullPlacement(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, scalar := range []bool{false, true} {
-			run := c.Query
+			run := queryTable
 			if scalar {
-				run = c.QueryScalar
+				run = (*Catalog).QueryScalar
 			}
-			out, err := run(tc.q)
+			out, err := run(c, tc.q)
 			if err != nil {
 				t.Fatalf("%q (scalar=%v): %v", tc.q, scalar, err)
 			}
@@ -245,7 +245,7 @@ func TestOrderByLimitOffsetBeyondRows(t *testing.T) {
 		{"SELECT v FROM t ORDER BY v DESC LIMIT 3 OFFSET 95", []int64{4, 3, 2}},
 	}
 	for _, tc := range cases {
-		vec, err := c.Query(tc.q)
+		vec, err := queryTable(c, tc.q)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.q, err)
 		}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,9 +37,28 @@ func testCatalog(t *testing.T) *Catalog {
 	return c
 }
 
+// queryTable runs sql through QueryCtx — the path users hit — and
+// materializes the Result for comparison.
+func queryTable(c *Catalog, sql string) (*table.Table, error) {
+	res, err := c.QueryCtx(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table("result"), nil
+}
+
+// executeTable is queryTable for a parsed statement.
+func executeTable(c *Catalog, stmt *SelectStmt) (*table.Table, error) {
+	res, err := c.ExecuteResult(context.Background(), stmt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table("result"), nil
+}
+
 func mustQuery(t *testing.T, c *Catalog, sql string) *table.Table {
 	t.Helper()
-	res, err := c.Query(sql)
+	res, err := queryTable(c, sql)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -308,7 +328,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT 'unterminated FROM sales",
 	}
 	for _, sql := range bad {
-		if _, err := c.Query(sql); err == nil {
+		if _, err := queryTable(c, sql); err == nil {
 			t.Errorf("expected parse error for %q", sql)
 		}
 	}
@@ -323,7 +343,7 @@ func TestExecErrors(t *testing.T) {
 		"SELECT SUM(amount) FROM sales GROUP BY missing_col",
 	}
 	for _, sql := range bad {
-		if _, err := c.Query(sql); err == nil {
+		if _, err := queryTable(c, sql); err == nil {
 			t.Errorf("expected execution error for %q", sql)
 		}
 	}
@@ -331,7 +351,7 @@ func TestExecErrors(t *testing.T) {
 
 func TestAggregateInWhereRejected(t *testing.T) {
 	c := testCatalog(t)
-	if _, err := c.Query("SELECT id FROM sales WHERE SUM(amount) > 10"); err == nil {
+	if _, err := queryTable(c, "SELECT id FROM sales WHERE SUM(amount) > 10"); err == nil {
 		t.Error("aggregate in WHERE should error")
 	}
 }
@@ -354,11 +374,11 @@ func TestSQLRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse %q: %v", rendered, err)
 		}
-		r1, err := c.Execute(stmt)
+		r1, err := executeTable(c, stmt)
 		if err != nil {
 			t.Fatalf("exec %q: %v", q, err)
 		}
-		r2, err := c.Execute(stmt2)
+		r2, err := executeTable(c, stmt2)
 		if err != nil {
 			t.Fatalf("exec rendered %q: %v", rendered, err)
 		}

@@ -30,7 +30,7 @@ func dumpTable(t *table.Table) string {
 // mismatch in error status, column names, row order, or cell values.
 func checkDifferential(t *testing.T, c *Catalog, q string) {
 	t.Helper()
-	vec, vecErr := c.Query(q)
+	vec, vecErr := queryTable(c, q)
 	sca, scaErr := c.QueryScalar(q)
 	if (vecErr == nil) != (scaErr == nil) {
 		t.Errorf("query %q: error mismatch\n  vectorized: %v\n  scalar:     %v", q, vecErr, scaErr)
@@ -513,7 +513,7 @@ func TestConcurrentQueryAndRegister(t *testing.T) {
 					c.Register(extra)
 					continue
 				}
-				if _, err := c.Query(queries[(g+i)%len(queries)]); err != nil {
+				if _, err := queryTable(c, queries[(g+i)%len(queries)]); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}

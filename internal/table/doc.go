@@ -27,9 +27,10 @@
 // [Column.GatherPairs] is the join primitive — an index list plus an
 // explicit null mask for outer-join padding.
 //
-// [Table.Join] is a standalone hash join over a single equality key with
-// all four [JoinKind] semantics; the SQL engine's join pipeline (package
-// sqlengine) shares its probe machinery through [NewHashProbe].
+// The SQL engine's hash join (package sqlengine) is built from this
+// package's pieces: [NewHashProbe] indexes the build side, [JoinPairs]
+// records matches and outer-join padding for each [JoinKind], and
+// [Column.GatherPairs] assembles the output columns.
 //
 // See docs/ENGINE.md at the repository root for how these pieces compose
 // into the full query lifecycle.

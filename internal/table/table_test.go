@@ -96,20 +96,6 @@ func TestSortUnknownColumn(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tbl := sampleSales(t)
-	p, err := tbl.Project("amount", "region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.ColumnNames(), []string{"amount", "region"}) {
-		t.Errorf("projected columns = %v", p.ColumnNames())
-	}
-	if _, err := tbl.Project("missing"); err == nil {
-		t.Fatal("expected error for unknown column")
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	tbl := MustNew("t", []string{"a"}, []Kind{KindInt})
 	for _, v := range []int64{1, 2, 1, 3, 2} {
@@ -118,36 +104,6 @@ func TestDistinct(t *testing.T) {
 	d := tbl.Distinct()
 	if d.NumRows() != 3 {
 		t.Errorf("distinct rows = %d, want 3", d.NumRows())
-	}
-}
-
-func TestAddDropRenameColumn(t *testing.T) {
-	tbl := sampleSales(t)
-	err := tbl.AddColumn("total", KindFloat, func(r int) Value {
-		amt := tbl.Get(r, "amount").F
-		qty := float64(tbl.Get(r, "qty").I)
-		return Float(amt * qty)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Get(0, "total").F; got != 200 {
-		t.Errorf("derived total = %v, want 200", got)
-	}
-	if err := tbl.AddColumn("total", KindFloat, nil); err == nil {
-		t.Fatal("expected duplicate column error")
-	}
-	if err := tbl.RenameColumn("total", "revenue"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ColumnIndex("revenue") < 0 {
-		t.Error("rename did not take effect")
-	}
-	if err := tbl.DropColumn("revenue"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ColumnIndex("revenue") >= 0 {
-		t.Error("drop did not take effect")
 	}
 }
 
@@ -231,99 +187,104 @@ func TestGroupByMedianAndStdDev(t *testing.T) {
 	}
 }
 
-func TestJoinInner(t *testing.T) {
-	left := MustNew("orders", []string{"id", "cust"}, []Kind{KindInt, KindString})
-	left.MustAppendRow(Int(1), Str("alice"))
-	left.MustAppendRow(Int(2), Str("bob"))
-	left.MustAppendRow(Int(3), Str("carol"))
-	right := MustNew("custs", []string{"name", "tier"}, []Kind{KindString, KindString})
-	right.MustAppendRow(Str("alice"), Str("gold"))
-	right.MustAppendRow(Str("bob"), Str("silver"))
+// cellStrings renders a column's cells for comparison; NULL renders as
+// "NULL".
+func cellStrings(c Column) []string {
+	out := make([]string, c.Len())
+	for i := range out {
+		if v := c.Value(i); v.IsNull() {
+			out[i] = "NULL"
+		} else {
+			out[i] = v.AsString()
+		}
+	}
+	return out
+}
 
-	j, err := left.Join(right, "cust", "name", JoinInner)
-	if err != nil {
-		t.Fatal(err)
+func TestJoinInner(t *testing.T) {
+	cust := ColumnFromStrings("cust", []string{"alice", "bob", "carol", "bob"}, nil)
+	name := ColumnFromStrings("name", []string{"bob", "alice", "bob"}, nil)
+	tier := ColumnFromStrings("tier", []string{"silver", "gold", "bronze"}, nil)
+
+	pairs := NewJoinPairs(JoinInner)
+	if pairs.Lnull != nil || pairs.Rnull != nil {
+		t.Fatal("inner join pairs must carry no null masks")
 	}
-	if j.NumRows() != 2 {
-		t.Fatalf("inner join rows = %d, want 2", j.NumRows())
+	probe := NewHashProbe([]*Column{&cust}, []*Column{&name})
+	for l := 0; l < cust.Len(); l++ {
+		for _, r := range probe(l) {
+			pairs.Match(l, r)
+		}
 	}
-	if j.Get(0, "tier").S != "gold" {
-		t.Errorf("joined tier = %v", j.Get(0, "tier"))
+	// Left rows in probe order; duplicate right matches in ascending
+	// right-row order; carol has no match and is dropped.
+	if !reflect.DeepEqual(pairs.Lidx, []int{0, 1, 1, 3, 3}) || !reflect.DeepEqual(pairs.Ridx, []int{1, 0, 2, 0, 2}) {
+		t.Fatalf("pairs = %v / %v", pairs.Lidx, pairs.Ridx)
+	}
+	got := cellStrings(tier.GatherPairs(pairs.Ridx, pairs.Rnull))
+	if want := []string{"gold", "silver", "bronze", "silver", "bronze"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("joined tier = %v, want %v", got, want)
 	}
 }
 
 func TestJoinLeftKeepsUnmatched(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(9))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
+	lk := ColumnFromInts("k", []int64{1, 9}, nil)
+	v := ColumnFromStrings("v", []string{"hit"}, nil)
 
-	j, err := left.Join(right, "k", "k", JoinLeft)
-	if err != nil {
-		t.Fatal(err)
+	pairs := NewJoinPairs(JoinLeft)
+	if pairs.Lnull != nil || pairs.Rnull == nil {
+		t.Fatal("left join pads only the right side")
 	}
-	if j.NumRows() != 2 {
-		t.Fatalf("left join rows = %d, want 2", j.NumRows())
+	pairs.Match(0, 0)
+	pairs.PadRight(1)
+	if got := cellStrings(lk.GatherPairs(pairs.Lidx, pairs.Lnull)); !reflect.DeepEqual(got, []string{"1", "9"}) {
+		t.Errorf("left keys = %v", got)
 	}
-	if !j.Get(1, "v").IsNull() {
-		t.Errorf("unmatched right value should be NULL, got %v", j.Get(1, "v"))
-	}
-	// Collided key column gets a prefixed name.
-	if j.ColumnIndex("r.k") < 0 {
-		t.Errorf("expected disambiguated column r.k, have %v", j.ColumnNames())
+	if got := cellStrings(v.GatherPairs(pairs.Ridx, pairs.Rnull)); !reflect.DeepEqual(got, []string{"hit", "NULL"}) {
+		t.Errorf("right values = %v, want the unmatched row NULL-padded", got)
 	}
 }
 
 func TestJoinRightKeepsUnmatched(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(1))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
-	right.MustAppendRow(Int(7), Str("lonely"))
+	lk := ColumnFromInts("k", []int64{1, 1}, nil)
+	v := ColumnFromStrings("v", []string{"hit", "lonely"}, nil)
 
-	j, err := left.Join(right, "k", "k", JoinRight)
-	if err != nil {
-		t.Fatal(err)
+	pairs := NewJoinPairs(JoinRight)
+	if pairs.Lnull == nil || pairs.Rnull != nil {
+		t.Fatal("right join pads only the left side")
 	}
 	// Right-row order: both left rows match right row 0, then the
 	// unmatched right row pads the left side.
-	if j.NumRows() != 3 {
-		t.Fatalf("right join rows = %d, want 3", j.NumRows())
+	pairs.Match(0, 0)
+	pairs.Match(1, 0)
+	pairs.PadLeft(1)
+	if got := cellStrings(lk.GatherPairs(pairs.Lidx, pairs.Lnull)); !reflect.DeepEqual(got, []string{"1", "1", "NULL"}) {
+		t.Errorf("left keys = %v, want the padded row NULL", got)
 	}
-	if !j.Get(2, "k").IsNull() {
-		t.Errorf("unmatched left key should be NULL, got %v", j.Get(2, "k"))
-	}
-	if j.Get(2, "v").S != "lonely" {
-		t.Errorf("preserved right value = %v", j.Get(2, "v"))
+	if got := cellStrings(v.GatherPairs(pairs.Ridx, pairs.Rnull)); !reflect.DeepEqual(got, []string{"hit", "hit", "lonely"}) {
+		t.Errorf("right values = %v", got)
 	}
 }
 
 func TestJoinFullOuter(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(9))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
-	right.MustAppendRow(Int(7), Str("lonely"))
+	lk := ColumnFromInts("k", []int64{1, 9}, nil)
+	v := ColumnFromStrings("v", []string{"lonely", "hit", "also lonely"}, nil)
 
-	j, err := left.Join(right, "k", "k", JoinFull)
-	if err != nil {
-		t.Fatal(err)
+	pairs := NewJoinPairs(JoinFull)
+	if pairs.Lnull == nil || pairs.Rnull == nil {
+		t.Fatal("full join pads both sides")
 	}
-	// Match (1,1), left-pad row for 9, then the unmatched right row.
-	if j.NumRows() != 3 {
-		t.Fatalf("full join rows = %d, want 3", j.NumRows())
+	// Match (0,1), a left-preserved row for 9 (whose placeholder right
+	// index 0 must not count as a match), then the sweep appends the
+	// unmatched right rows 0 and 2 in ascending order.
+	pairs.Match(0, 1)
+	pairs.PadRight(1)
+	pairs.SweepUnmatchedRight(v.Len())
+	if got := cellStrings(lk.GatherPairs(pairs.Lidx, pairs.Lnull)); !reflect.DeepEqual(got, []string{"1", "9", "NULL", "NULL"}) {
+		t.Errorf("left keys = %v", got)
 	}
-	if j.Get(0, "v").S != "hit" {
-		t.Errorf("matched value = %v", j.Get(0, "v"))
-	}
-	if !j.Get(1, "v").IsNull() || j.Get(1, "k").I != 9 {
-		t.Errorf("left-preserved row = (%v, %v)", j.Get(1, "k"), j.Get(1, "v"))
-	}
-	if !j.Get(2, "k").IsNull() || j.Get(2, "v").S != "lonely" {
-		t.Errorf("sweep row = (%v, %v)", j.Get(2, "k"), j.Get(2, "v"))
+	if got := cellStrings(v.GatherPairs(pairs.Ridx, pairs.Rnull)); !reflect.DeepEqual(got, []string{"hit", "NULL", "lonely", "also lonely"}) {
+		t.Errorf("right values = %v", got)
 	}
 }
 
@@ -350,35 +311,36 @@ func TestGatherPairsNullMask(t *testing.T) {
 	}
 }
 
+// TestJoinNullKeysNeverMatch pins SQL's NULL ≠ NULL join rule on every
+// NewHashProbe path: typed int keys, typed string keys, and composite keys
+// hashed through Value.Key. A NULL on either side never matches, even
+// another NULL.
 func TestJoinNullKeysNeverMatch(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindString})
-	left.MustAppendRow(Null())
-	right := MustNew("r", []string{"k"}, []Kind{KindString})
-	right.MustAppendRow(Null())
-	j, err := left.Join(right, "k", "k", JoinInner)
-	if err != nil {
-		t.Fatal(err)
+	ints := func(vals []int64, nulls []bool) *Column { c := ColumnFromInts("k", vals, nulls); return &c }
+	strs := func(vals []string, nulls []bool) *Column { c := ColumnFromStrings("k", vals, nulls); return &c }
+	// Left rows: 0 = NULL, 1 = a value the right side holds only as NULL
+	// storage, 2 = a real match (right row 1).
+	cases := []struct {
+		name        string
+		left, right []*Column
+	}{
+		{"typed int",
+			[]*Column{ints([]int64{0, 5, 7}, []bool{true, false, false})},
+			[]*Column{ints([]int64{0, 7, 5}, []bool{true, false, true})}},
+		{"typed string",
+			[]*Column{strs([]string{"", "x", "y"}, []bool{true, false, false})},
+			[]*Column{strs([]string{"", "y", "x"}, []bool{true, false, true})}},
+		{"composite",
+			[]*Column{ints([]int64{1, 1, 2}, nil), strs([]string{"", "x", "y"}, []bool{true, false, false})},
+			[]*Column{ints([]int64{1, 2, 1}, nil), strs([]string{"", "y", "x"}, []bool{true, false, true})}},
 	}
-	if j.NumRows() != 0 {
-		t.Errorf("NULL keys must not join, got %d rows", j.NumRows())
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := MustNew("a", []string{"x"}, []Kind{KindInt})
-	a.MustAppendRow(Int(1))
-	b := MustNew("b", []string{"x"}, []Kind{KindInt})
-	b.MustAppendRow(Int(2))
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumRows() != 2 {
-		t.Errorf("concat rows = %d", c.NumRows())
-	}
-	bad := MustNew("bad", []string{"x", "y"}, []Kind{KindInt, KindInt})
-	if _, err := a.Concat(bad); err == nil {
-		t.Fatal("expected arity error")
+	for _, tc := range cases {
+		probe := NewHashProbe(tc.left, tc.right)
+		for l, want := range [][]int{nil, nil, {1}} {
+			if got := probe(l); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: probe(%d) = %v, want %v", tc.name, l, got, want)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package datalab
 
 import "datalab/internal/sqlengine"
 
-// The typed result API. A query executed through Platform.QueryCtx (or a
-// prepared Stmt) hands back a *Result: a cursor over the columnar result
+// The typed result API. Every query — Platform.QueryCtx, a prepared Stmt,
+// Answer.Result — hands back a *Result: a cursor over the columnar result
 // set that iterates zero-copy batches instead of materializing rows.
 //
 //	res, err := p.QueryCtx(ctx, "SELECT region, amount FROM sales WHERE amount > 100")
@@ -21,8 +21,9 @@ import "datalab/internal/sqlengine"
 // anything: the Result's batches are read-only views straight over the
 // catalog's column storage, restricted by the WHERE selection. Aggregated,
 // ordered, or computed results are built once and then viewed batch by
-// batch. Result.Strings() materializes the old [][]string shape for
-// callers migrating incrementally.
+// batch. When a caller needs the rows materialized, Result.Table(name)
+// copies them into a table that owns its storage and Result.Strings()
+// renders them as [][]string.
 //
 // The types are defined in internal/sqlengine (the executor produces them
 // directly); the aliases below are the public names.
